@@ -2,6 +2,7 @@ package arrow
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -154,28 +155,27 @@ func (a *BoolArray) Value(i int) bool { return a.values.Get(i) }
 // ValuesBitmap returns the bit-packed values; callers must not mutate it.
 func (a *BoolArray) ValuesBitmap() Bitmap { return a.values }
 
+// TrueWord returns the slots [64*w, 64*w+64) that are valid and true as
+// one word, bit i standing for slot 64*w+i. Bits past Len are zero.
+func (a *BoolArray) TrueWord(w int) uint64 {
+	x := a.values.Word(w) & a.valid.Word(w)
+	if rem := a.length - w*64; rem < 64 {
+		x &= 1<<uint(rem) - 1
+	}
+	return x
+}
+
 // TrueCount returns the number of slots that are valid and true.
 func (a *BoolArray) TrueCount() int {
-	if a.valid == nil {
-		return a.values.CountSet(a.length)
-	}
 	c := 0
-	for i := 0; i < a.length; i++ {
-		if a.valid.Get(i) && a.values.Get(i) {
-			c++
-		}
+	for w := 0; w*64 < a.length; w++ {
+		c += bits.OnesCount64(a.TrueWord(w))
 	}
 	return c
 }
 
 func (a *BoolArray) Slice(off, n int) Array {
-	vals := NewBitmap(n)
-	for i := 0; i < n; i++ {
-		if a.values.Get(off + i) {
-			vals.Set(i)
-		}
-	}
-	return NewBool(vals, sliceBitmap(a.valid, off, n), n)
+	return NewBool(sliceBits(a.values, off, n), sliceBitmap(a.valid, off, n), n)
 }
 
 func (a *BoolArray) GetScalar(i int) Scalar {
@@ -438,7 +438,20 @@ func sliceBitmap(b Bitmap, off, n int) Bitmap {
 	if b == nil {
 		return nil
 	}
+	return sliceBits(b, off, n)
+}
+
+// sliceBits copies n bits of b starting at off into a fresh bitmap whose
+// bits past n are clear. A byte-aligned off copies whole bytes.
+func sliceBits(b Bitmap, off, n int) Bitmap {
 	out := NewBitmap(n)
+	if off%8 == 0 {
+		copy(out, b[off/8:])
+		if rem := n % 8; rem != 0 {
+			out[len(out)-1] &= byte(1<<rem) - 1
+		}
+		return out
+	}
 	for i := 0; i < n; i++ {
 		if b.Get(off + i) {
 			out.Set(i)

@@ -1,6 +1,9 @@
 package arrow
 
-import "math/bits"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Bitmap is a little-endian bit-packed boolean buffer, used for validity
 // (null) tracking exactly as in the Arrow format: bit i set means slot i is
@@ -62,6 +65,34 @@ func (b Bitmap) CountSet(n int) int {
 		c += bits.OnesCount8(b[full] & (byte(1<<rem) - 1))
 	}
 	return c
+}
+
+// Word returns the 64 bits of b starting at bit 64*w, bit i of the word
+// being bit 64*w+i of b. Bytes past the end of b read as zero; a nil
+// bitmap reads as all ones.
+func (b Bitmap) Word(w int) uint64 {
+	if b == nil {
+		return ^uint64(0)
+	}
+	off := w * 8
+	if off+8 <= len(b) {
+		return binary.LittleEndian.Uint64(b[off:])
+	}
+	var x uint64
+	for i := off; i < len(b); i++ {
+		x |= uint64(b[i]) << (8 * (i - off))
+	}
+	return x
+}
+
+// OrWord ORs the 64 bits of x into b at bits [off, off+64). b must have
+// capacity for off+64 bits.
+func (b Bitmap) OrWord(off int, x uint64) {
+	i, s := off>>3, uint(off&7)
+	binary.LittleEndian.PutUint64(b[i:], binary.LittleEndian.Uint64(b[i:])|x<<s)
+	if s != 0 {
+		b[i+8] |= byte(x >> (64 - s))
+	}
 }
 
 // And stores x AND y into b for n bits. Any nil operand is treated as

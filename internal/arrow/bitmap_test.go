@@ -129,3 +129,61 @@ func TestBitmapClone(t *testing.T) {
 		t.Fatal("clone must copy bits")
 	}
 }
+
+// TestBoolWordKernelsMatchBits checks Word, OrWord, TrueCount and Slice
+// against bit-at-a-time references over lengths 0-200 and random offsets.
+func TestBoolWordKernelsMatchBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for n := 0; n <= 200; n++ {
+		vals, valid := NewBitmap(n), NewBitmap(n)
+		for i := 0; i < n; i++ {
+			vals.Put(i, rng.Intn(2) == 0)
+			valid.Put(i, rng.Intn(4) != 0)
+		}
+		for w := 0; w*64 < n+64; w++ {
+			var want uint64
+			for i := 0; i < 64; i++ {
+				if k := w*64 + i; k < len(vals)*8 && vals.Get(k) {
+					want |= 1 << uint(i)
+				}
+			}
+			if got := vals.Word(w); got != want {
+				t.Fatalf("n=%d Word(%d) = %x, want %x", n, w, got, want)
+			}
+		}
+		for _, v := range []Bitmap{nil, valid} {
+			a := NewBool(vals, v, n)
+			want := 0
+			for i := 0; i < n; i++ {
+				if a.IsValid(i) && a.Value(i) {
+					want++
+				}
+			}
+			if got := a.TrueCount(); got != want {
+				t.Fatalf("n=%d TrueCount = %d, want %d", n, got, want)
+			}
+			off := rng.Intn(n + 1)
+			m := rng.Intn(n - off + 1)
+			s := a.Slice(off, m).(*BoolArray)
+			for i := 0; i < m; i++ {
+				if s.Value(i) != a.Value(off+i) || s.IsValid(i) != a.IsValid(off+i) {
+					t.Fatalf("n=%d Slice(%d, %d) differs at %d", n, off, m, i)
+				}
+			}
+			if rem := m % 8; rem != 0 && s.ValuesBitmap()[m/8]>>uint(rem) != 0 {
+				t.Fatalf("n=%d Slice(%d, %d) leaves bits set past its length", n, off, m)
+			}
+		}
+	}
+	for off := 0; off < 80; off++ {
+		x := rng.Uint64()
+		b := NewBitmap(off + 64)
+		b.OrWord(off, x)
+		for i := 0; i < off+64; i++ {
+			want := i >= off && x&(1<<uint(i-off)) != 0
+			if b.Get(i) != want {
+				t.Fatalf("OrWord(%d) bit %d = %v, want %v", off, i, b.Get(i), want)
+			}
+		}
+	}
+}

@@ -184,6 +184,68 @@ type fileFooter struct {
 	Version   int               `json:"v"`
 }
 
+// PageLayoutError reports a footer whose row group is not paged the way
+// the scanner relies on: every column chunk holds one chunk per schema
+// field, its pages have positive row counts and tile [0, NumRows) in
+// order, and every column uses the same page boundaries.
+type PageLayoutError struct {
+	RowGroup int
+	Col      int
+	// Page is the offending page index, or -1 for the chunk as a whole.
+	Page   int
+	Reason string
+}
+
+func (e *PageLayoutError) Error() string {
+	return fmt.Sprintf("parquet: row group %d column %d page %d: %s", e.RowGroup, e.Col, e.Page, e.Reason)
+}
+
+// Unwrap makes every layout error match errFormat.
+func (e *PageLayoutError) Unwrap() error { return errFormat }
+
+// checkPages validates the page layout of every row group (see
+// PageLayoutError).
+func (f *fileFooter) checkPages(numCols int) error {
+	for rg := range f.RowGroups {
+		group := &f.RowGroups[rg]
+		if len(group.Columns) != numCols {
+			return &PageLayoutError{RowGroup: rg, Col: -1, Page: -1,
+				Reason: fmt.Sprintf("%d column chunks for %d schema fields", len(group.Columns), numCols)}
+		}
+		for col := range group.Columns {
+			pages := group.Columns[col].Pages
+			var next int64
+			for pi, p := range pages {
+				switch {
+				case p.NumRows <= 0:
+					return &PageLayoutError{RowGroup: rg, Col: col, Page: pi,
+						Reason: fmt.Sprintf("page has %d rows", p.NumRows)}
+				case p.FirstRow != next:
+					return &PageLayoutError{RowGroup: rg, Col: col, Page: pi,
+						Reason: fmt.Sprintf("page starts at row %d, want %d", p.FirstRow, next)}
+				}
+				next += p.NumRows
+			}
+			if next != group.NumRows {
+				return &PageLayoutError{RowGroup: rg, Col: col, Page: -1,
+					Reason: fmt.Sprintf("pages cover %d rows of %d", next, group.NumRows)}
+			}
+			first := group.Columns[0].Pages
+			if len(pages) != len(first) {
+				return &PageLayoutError{RowGroup: rg, Col: col, Page: -1,
+					Reason: fmt.Sprintf("%d pages, column 0 has %d", len(pages), len(first))}
+			}
+			for pi := range pages {
+				if pages[pi].NumRows != first[pi].NumRows {
+					return &PageLayoutError{RowGroup: rg, Col: col, Page: pi,
+						Reason: fmt.Sprintf("page has %d rows, column 0 has %d", pages[pi].NumRows, first[pi].NumRows)}
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // FileMetadata is the decoded footer of a GPQ file, exposed so catalogs can
 // cache it and plan from statistics without re-opening files.
 type FileMetadata struct {

@@ -27,8 +27,9 @@ const DictPage = -1
 // morsel and static scan paths deduplicate in-flight work.
 //
 // Cached arrays are shared views: consumers must never mutate their
-// buffers, and anything derived by filtering/concatenation is freshly
-// allocated so eviction cannot invalidate downstream batches.
+// buffers. The scanner emits a page whose rows all match as the cached
+// arrays themselves; eviction only drops the cache's reference, so such
+// batches stay valid downstream.
 type PageCache struct {
 	lru *memory.SizedLRU[PageKey, arrow.Array]
 }

@@ -131,6 +131,9 @@ func ReadMetadata(r io.ReaderAt, size int64) (*FileMetadata, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := footer.checkPages(schema.NumFields()); err != nil {
+		return nil, err
+	}
 	return &FileMetadata{Schema: schema, NumRows: footer.NumRows, KV: footer.KV, footer: &footer}, nil
 }
 
@@ -248,58 +251,6 @@ func (s *Scanner) countCache(hit bool) {
 	}
 }
 
-// readColumnSelection decodes the rows of (rowGroup, col) covered by sel,
-// in row order, skipping pages with no selected rows. Fully-selected
-// pages pass through untouched; partially-selected pages are filtered
-// with a vectorized mask (cheaper than assembling per-range slices when
-// the selection is fragmented).
-func (s *Scanner) readColumnSelection(rg, col int, sel RowSelection) (arrow.Array, error) {
-	fr := s.fr
-	chunk := &fr.meta.footer.RowGroups[rg].Columns[col]
-	t := fr.meta.Schema.Field(col).Type
-	var dict *arrow.StringArray
-	var parts []arrow.Array
-	for pi := range chunk.Pages {
-		page := &chunk.Pages[pi]
-		start, end := page.FirstRow, page.FirstRow+page.NumRows
-		pageSel := sel.IntersectRange(start, end)
-		if pageSel.IsEmpty() {
-			continue
-		}
-		if page.Encoding == EncodingDict && dict == nil {
-			var err error
-			if dict, err = s.loadDict(rg, col, chunk); err != nil {
-				return nil, err
-			}
-		}
-		arr, err := s.loadPage(rg, col, pi, chunk, page, t, dict)
-		if err != nil {
-			return nil, err
-		}
-		if pageSel.Count() == page.NumRows {
-			parts = append(parts, arr)
-			continue
-		}
-		n := int(page.NumRows)
-		bits := arrow.NewBitmap(n)
-		for _, r := range pageSel.Ranges() {
-			for row := r.Start; row < r.End; row++ {
-				bits.Set(int(row - start))
-			}
-		}
-		mask := arrow.NewBool(bits, nil, n)
-		filtered, err := compute.Filter(arr, mask)
-		if err != nil {
-			return nil, err
-		}
-		parts = append(parts, filtered)
-	}
-	if len(parts) == 0 {
-		return arrow.NewBuilder(t).Finish(), nil
-	}
-	return compute.Concat(parts)
-}
-
 // ScanOptions configures a pushed-down scan.
 type ScanOptions struct {
 	// Projection lists file-schema column indexes to read; nil means all.
@@ -322,8 +273,8 @@ type ScanOptions struct {
 	// DisablePruning turns off row-group and page statistics pruning
 	// (predicate still evaluated row-level); used by ablation benchmarks.
 	DisablePruning bool
-	// DisableLateMaterialization decodes all projected columns before
-	// evaluating the predicate; used by ablation benchmarks.
+	// DisableLateMaterialization decodes every projected column of a page
+	// before evaluating the predicate on it; used by ablation benchmarks.
 	DisableLateMaterialization bool
 	// Cache, when set, shares decoded pages across scanners through the
 	// process-wide page cache (requires a reader opened from a path, which
@@ -541,231 +492,179 @@ func (s *Scanner) keepRowGroup(rg int) bool {
 	return true
 }
 
-// candidateSelection intersects per-column page-statistics selections for
-// the predicate columns.
-func (s *Scanner) candidateSelection(rg int, numRows int64) RowSelection {
-	pred := s.opts.Predicate
-	sel := SelectAll(numRows)
-	for _, col := range pred.Columns() {
-		chunk := &s.fr.meta.footer.RowGroups[rg].Columns[col]
-		t := s.fr.meta.Schema.Field(col).Type
-		var ranges []RowRange
-		for pi := range chunk.Pages {
-			page := &chunk.Pages[pi]
-			if pred.KeepColumnStats(col, page.Stats.toStats(t)) {
-				ranges = append(ranges, RowRange{page.FirstRow, page.FirstRow + page.NumRows})
-			} else {
-				s.PagesSkipped++
-			}
-		}
-		sel = sel.Intersect(FromRanges(ranges))
-		if sel.IsEmpty() {
+// scanRowGroup queues the matching rows of one row group, one page index
+// at a time. ReadMetadata checks that every column of a row group is
+// paged at the same row boundaries, so page pi covers the same rows in
+// every column: the predicate is evaluated once per page on the predicate
+// columns' pages, and that one mask filters every projected column. Each
+// queued batch holds rows of a single page.
+func (s *Scanner) scanRowGroup(rg int) error {
+	prune := s.opts.Predicate != nil && !s.opts.DisablePruning
+	if prune && !s.keepRowGroup(rg) {
+		s.RowGroupsPruned++
+		return nil
+	}
+	g := &groupReader{s: s, rg: rg, chunks: s.fr.meta.footer.RowGroups[rg].Columns,
+		dicts: map[int]*arrow.StringArray{}, cur: map[int]arrow.Array{}}
+	var pages []pageMeta
+	if len(g.chunks) > 0 {
+		pages = g.chunks[0].Pages
+	} else if n := s.fr.meta.RowGroupRows(rg); n > 0 {
+		pages = []pageMeta{{NumRows: n}} // no columns: rows without pages
+	}
+	skipped, matched := 0, false
+	for pi := range pages {
+		if s.remaining == 0 {
 			break
 		}
-	}
-	return sel
-}
-
-// maskToSelection converts a boolean mask aligned to sel's rows into an
-// exact row selection. The scan works byte-at-a-time over the packed
-// (value AND validity) bits so all-false bytes skip 8 rows at once — this
-// runs once per predicate scan over every candidate row.
-func maskToSelection(sel RowSelection, mask *arrow.BoolArray) RowSelection {
-	n := mask.Len()
-	vals := mask.ValuesBitmap()
-	valid := mask.Validity()
-	// effective[i] = value AND valid.
-	nb := (n + 7) / 8
-	effective := make([]byte, nb)
-	for i := 0; i < nb; i++ {
-		b := byte(0)
-		if i < len(vals) {
-			b = vals[i]
+		if prune && !g.keepPage(pi) {
+			skipped++
+			continue
 		}
-		if valid != nil {
-			if i < len(valid) {
-				b &= valid[i]
-			} else {
-				b = 0
-			}
-		}
-		effective[i] = b
-	}
-	var out []RowRange
-	push := func(row int64) {
-		if k := len(out); k > 0 && out[k-1].End == row {
-			out[k-1].End = row + 1
-		} else {
-			out = append(out, RowRange{row, row + 1})
-		}
-	}
-	i := 0
-	for _, r := range sel.Ranges() {
-		row := r.Start
-		for row < r.End {
-			// Byte-aligned fast paths.
-			if i%8 == 0 && r.End-row >= 8 {
-				b := effective[i/8]
-				switch b {
-				case 0x00:
-					i += 8
-					row += 8
-					continue
-				case 0xFF:
-					if k := len(out); k > 0 && out[k-1].End == row {
-						out[k-1].End = row + 8
-					} else {
-						out = append(out, RowRange{row, row + 8})
-					}
-					i += 8
-					row += 8
-					continue
-				}
-			}
-			if effective[i/8]&(1<<(i%8)) != 0 {
-				push(row)
-			}
-			i++
-			row++
-		}
-	}
-	return RowSelection{ranges: out}
-}
-
-func (s *Scanner) scanRowGroup(rg int) error {
-	numRows := s.fr.meta.RowGroupRows(rg)
-	pred := s.opts.Predicate
-
-	sel := SelectAll(numRows)
-	if pred != nil {
-		if !s.opts.DisablePruning {
-			if !s.keepRowGroup(rg) {
-				s.RowGroupsPruned++
-				return nil
-			}
-			sel = s.candidateSelection(rg, numRows)
-			if sel.IsEmpty() {
-				s.RowGroupsPruned++
-				return nil
-			}
-		}
-		if s.opts.DisableLateMaterialization {
-			// Ablation mode: decode every projected column in full, then
-			// filter — the strategy late materialization avoids.
-			return s.scanRowGroupEager(rg, numRows)
-		}
-		// Decode predicate columns within the candidate selection and
-		// evaluate to get the exact row selection.
-		predCols := make(map[int]arrow.Array, len(pred.Columns()))
-		for _, col := range pred.Columns() {
-			arr, err := s.readColumnSelection(rg, col, sel)
-			if err != nil {
-				return err
-			}
-			predCols[col] = arr
-		}
-		mask, err := pred.Evaluate(predCols, int(sel.Count()))
+		batch, err := g.readPage(pi, int(pages[pi].NumRows))
 		if err != nil {
 			return err
 		}
-		sel = maskToSelection(sel, mask)
-		if sel.IsEmpty() {
-			return nil
+		if batch == nil {
+			continue
 		}
+		matched = true
+		s.enqueue(batch)
 	}
-	s.RowGroupsMatched++
-
-	// Apply any remaining limit by truncating the selection.
-	if s.remaining >= 0 && sel.Count() > s.remaining {
-		var kept []RowRange
-		left := s.remaining
-		for _, r := range sel.Ranges() {
-			if left <= 0 {
-				break
-			}
-			take := minI64(r.End-r.Start, left)
-			kept = append(kept, RowRange{r.Start, r.Start + take})
-			left -= take
-		}
-		sel = RowSelection{ranges: kept}
+	if prune && skipped == len(pages) {
+		s.RowGroupsPruned++
 	}
-
-	cols := make([]arrow.Array, len(s.opts.Projection))
-	for i, col := range s.opts.Projection {
-		arr, err := s.readColumnSelection(rg, col, sel)
-		if err != nil {
-			return err
-		}
-		cols[i] = arr
-	}
-	total := int(sel.Count())
-	if s.remaining > 0 {
-		s.remaining -= int64(total)
-	}
-	batch := arrow.NewRecordBatchWithRows(s.schema, cols, total)
-	for off := 0; off < total; off += s.opts.BatchRows {
-		n := s.opts.BatchRows
-		if off+n > total {
-			n = total - off
-		}
-		s.queue = append(s.queue, batch.Slice(off, n))
+	if matched {
+		s.RowGroupsMatched++
 	}
 	return nil
 }
 
-// scanRowGroupEager decodes every projected column of a row group fully,
-// evaluates the predicate afterwards, and filters — the late
-// materialization ablation baseline.
-func (s *Scanner) scanRowGroupEager(rg int, numRows int64) error {
-	all := SelectAll(numRows)
-	pred := s.opts.Predicate
-	predCols := make(map[int]arrow.Array, len(pred.Columns()))
-	for _, col := range pred.Columns() {
-		arr, err := s.readColumnSelection(rg, col, all)
-		if err != nil {
-			return err
-		}
-		predCols[col] = arr
-	}
-	cols := make([]arrow.Array, len(s.opts.Projection))
-	for i, col := range s.opts.Projection {
-		if arr, ok := predCols[col]; ok {
-			cols[i] = arr
-			continue
-		}
-		arr, err := s.readColumnSelection(rg, col, all)
-		if err != nil {
-			return err
-		}
-		cols[i] = arr
-	}
-	mask, err := pred.Evaluate(predCols, int(numRows))
-	if err != nil {
-		return err
-	}
-	batch := arrow.NewRecordBatchWithRows(s.schema, cols, int(numRows))
-	filtered, err := compute.FilterBatch(batch, compute.CoalesceBoolToFalse(mask))
-	if err != nil {
-		return err
-	}
-	if filtered.NumRows() == 0 {
-		return nil
-	}
-	s.RowGroupsMatched++
-	total := filtered.NumRows()
+// enqueue applies the remaining limit to a non-empty page batch and queues
+// it in slices of at most BatchRows rows.
+func (s *Scanner) enqueue(batch *arrow.RecordBatch) {
+	total := batch.NumRows()
 	if s.remaining >= 0 && int64(total) > s.remaining {
-		filtered = filtered.Slice(0, int(s.remaining))
-		total = filtered.NumRows()
+		total = int(s.remaining)
+		batch = batch.Slice(0, total)
 	}
 	if s.remaining > 0 {
 		s.remaining -= int64(total)
 	}
+	if total <= s.opts.BatchRows {
+		s.queue = append(s.queue, batch)
+		return
+	}
 	for off := 0; off < total; off += s.opts.BatchRows {
-		n := s.opts.BatchRows
-		if off+n > total {
-			n = total - off
+		n := min(s.opts.BatchRows, total-off)
+		s.queue = append(s.queue, batch.Slice(off, n))
+	}
+}
+
+// groupReader reads the pages of one row group for scanRowGroup.
+type groupReader struct {
+	s      *Scanner
+	rg     int
+	chunks []columnChunkMeta
+	dicts  map[int]*arrow.StringArray
+	// cur holds the current page's arrays by file-schema column, so a
+	// column both filtered on and projected is loaded once.
+	cur map[int]arrow.Array
+}
+
+// keepPage reports whether page pi can hold matching rows according to
+// the page statistics of every predicate column. PagesSkipped counts one
+// per predicate column whose statistics exclude the page.
+func (g *groupReader) keepPage(pi int) bool {
+	keep := true
+	pred := g.s.opts.Predicate
+	for _, col := range pred.Columns() {
+		t := g.s.fr.meta.Schema.Field(col).Type
+		if !pred.KeepColumnStats(col, g.chunks[col].Pages[pi].Stats.toStats(t)) {
+			g.s.PagesSkipped++
+			keep = false
 		}
-		s.queue = append(s.queue, filtered.Slice(off, n))
+	}
+	return keep
+}
+
+// readPage returns the projected, filtered rows of page pi (numRows rows
+// in every column), or nil when none match. A page whose rows all match
+// is returned as the loaded page arrays themselves, uncopied. Unless late
+// materialization is disabled, projected columns the predicate does not
+// read are loaded only for pages with a matching row.
+func (g *groupReader) readPage(pi, numRows int) (*arrow.RecordBatch, error) {
+	s := g.s
+	pred := s.opts.Predicate
+	clear(g.cur)
+	late := !s.opts.DisableLateMaterialization
+	var mask *arrow.BoolArray
+	if pred != nil {
+		if !late {
+			if err := g.load(s.opts.Projection, pi, numRows); err != nil {
+				return nil, err
+			}
+		}
+		if err := g.load(pred.Columns(), pi, numRows); err != nil {
+			return nil, err
+		}
+		var err error
+		if mask, err = pred.Evaluate(g.cur, numRows); err != nil {
+			return nil, err
+		}
+		if late && mask.TrueCount() == 0 {
+			return nil, nil
+		}
+	}
+	if err := g.load(s.opts.Projection, pi, numRows); err != nil {
+		return nil, err
+	}
+	cols := make([]arrow.Array, len(s.opts.Projection))
+	for i, col := range s.opts.Projection {
+		cols[i] = g.cur[col]
+	}
+	batch := arrow.NewRecordBatchWithRows(s.schema, cols, numRows)
+	if mask != nil {
+		var err error
+		if batch, err = compute.FilterBatch(batch, mask); err != nil {
+			return nil, err
+		}
+	}
+	if batch.NumRows() == 0 {
+		return nil, nil
+	}
+	return batch, nil
+}
+
+// load puts page pi of each listed column into g.cur, skipping columns
+// already there.
+func (g *groupReader) load(cols []int, pi, numRows int) error {
+	for _, col := range cols {
+		if _, ok := g.cur[col]; ok {
+			continue
+		}
+		chunk := &g.chunks[col]
+		page := &chunk.Pages[pi]
+		var dict *arrow.StringArray
+		if page.Encoding == EncodingDict {
+			if dict = g.dicts[col]; dict == nil {
+				var err error
+				if dict, err = g.s.loadDict(g.rg, col, chunk); err != nil {
+					return err
+				}
+				g.dicts[col] = dict
+			}
+		}
+		t := g.s.fr.meta.Schema.Field(col).Type
+		arr, err := g.s.loadPage(g.rg, col, pi, chunk, page, t, dict)
+		if err != nil {
+			return err
+		}
+		if arr.Len() != numRows {
+			return fmt.Errorf("parquet: row group %d column %d page %d holds %d rows, footer says %d: %w",
+				g.rg, col, pi, arr.Len(), numRows, errFormat)
+		}
+		g.cur[col] = arr
 	}
 	return nil
 }
