@@ -59,8 +59,6 @@ var Ranks = map[string]int{
 	"gofusion/internal/server.Server.writeMu":  10,
 	"gofusion/internal/server.Server.mu":       20,
 	"gofusion/internal/server.sessionState.mu": 30,
-	// Core caches sit below the service layer and above storage.
-	"gofusion/internal/core.planCache.mu": 40,
 	// Catalog: catalog before schema before table providers.
 	"gofusion/internal/catalog.MemoryCatalog.mu": 50,
 	"gofusion/internal/catalog.MemorySchema.mu":  52,

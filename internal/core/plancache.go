@@ -1,11 +1,10 @@
 package core
 
 import (
-	"container/list"
-	"sync"
 	"sync/atomic"
 
 	"gofusion/internal/logical"
+	"gofusion/internal/memory"
 )
 
 // planCache memoizes optimized logical plans of repeated queries, keyed
@@ -24,10 +23,7 @@ import (
 // write (DDL, INSERT, COPY, stream append — all bump a version counter)
 // makes the entry stale. Stale entries are dropped on lookup.
 type planCache struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List // front = most recently used
-	byKey map[string]*list.Element
+	entries *memory.LRU[string, planEntry]
 
 	hits          atomic.Int64
 	misses        atomic.Int64
@@ -35,7 +31,6 @@ type planCache struct {
 }
 
 type planEntry struct {
-	key     string
 	version int64
 	plan    logical.Plan
 }
@@ -56,29 +51,26 @@ func newPlanCache(capacity int) *planCache {
 	if capacity <= 0 {
 		capacity = defaultPlanCacheEntries
 	}
-	return &planCache{cap: capacity, ll: list.New(), byKey: map[string]*list.Element{}}
+	return &planCache{entries: memory.NewLRU[string, planEntry](capacity)}
 }
 
 // get returns the cached optimized plan for key if it was planned under
 // the current catalog version. A version mismatch drops the entry (the
 // provider snapshot inside it is stale) and counts as an invalidation.
 func (pc *planCache) get(key string, version int64) (logical.Plan, bool) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	el, ok := pc.byKey[key]
+	ent, ok := pc.entries.Get(key)
 	if !ok {
 		pc.misses.Add(1)
 		return nil, false
 	}
-	ent := el.Value.(*planEntry)
 	if ent.version != version {
-		pc.ll.Remove(el)
-		delete(pc.byKey, key)
+		// A put racing in between Get and Delete loses its fresh entry;
+		// that costs one re-plan, never a stale plan.
+		pc.entries.Delete(key)
 		pc.invalidations.Add(1)
 		pc.misses.Add(1)
 		return nil, false
 	}
-	pc.ll.MoveToFront(el)
 	pc.hits.Add(1)
 	return ent.plan, true
 }
@@ -86,31 +78,15 @@ func (pc *planCache) get(key string, version int64) (logical.Plan, bool) {
 // put memoizes an optimized plan computed under the given catalog
 // version, evicting the least recently used entry past capacity.
 func (pc *planCache) put(key string, version int64, plan logical.Plan) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if el, ok := pc.byKey[key]; ok {
-		el.Value.(*planEntry).version = version
-		el.Value.(*planEntry).plan = plan
-		pc.ll.MoveToFront(el)
-		return
-	}
-	pc.byKey[key] = pc.ll.PushFront(&planEntry{key: key, version: version, plan: plan})
-	for pc.ll.Len() > pc.cap {
-		last := pc.ll.Back()
-		pc.ll.Remove(last)
-		delete(pc.byKey, last.Value.(*planEntry).key)
-	}
+	pc.entries.Put(key, planEntry{version: version, plan: plan})
 }
 
 // Stats snapshots hit/miss/invalidation counters and residency.
 func (pc *planCache) Stats() PlanCacheStats {
-	pc.mu.Lock()
-	n := pc.ll.Len()
-	pc.mu.Unlock()
 	return PlanCacheStats{
 		Hits:          pc.hits.Load(),
 		Misses:        pc.misses.Load(),
 		Invalidations: pc.invalidations.Load(),
-		Entries:       n,
+		Entries:       pc.entries.Len(),
 	}
 }

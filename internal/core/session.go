@@ -59,10 +59,10 @@ type SessionConfig struct {
 	// PreferHashJoin disables merge join selection.
 	PreferHashJoin bool
 	// DisableFusion turns off pipeline fusion and morsel-driven scan
-	// scheduling, keeping every operator on its own pull stream (the
-	// paper-faithful FusePipelines knob, spelled as a Disable flag so the
-	// zero-value config keeps fusion on; for ablations and differential
-	// testing).
+	// scheduling, so each pushable operator runs as its own one-stage
+	// loop (the paper-faithful FusePipelines knob, spelled as a Disable
+	// flag so the zero-value config keeps fusion on; for ablations and
+	// differential testing).
 	DisableFusion bool
 	// DisableSharedCache turns off the process-wide decoded-page cache
 	// for this session (the cache defaults ON; spelled as a Disable flag

@@ -134,6 +134,49 @@ func TestStreamingLimitBoundsTail(t *testing.T) {
 	}
 }
 
+// TestStreamingLimitZeroReturnsAtOnce: LIMIT 0 needs no input, so over a
+// live stream that never delivers a batch it must still finish at once,
+// fused or not.
+func TestStreamingLimitZeroReturnsAtOnce(t *testing.T) {
+	queries := map[string]string{
+		"bare":       "SELECT * FROM live LIMIT 0",
+		"where":      "SELECT a FROM live WHERE a > 0 LIMIT 0",
+		"projection": "SELECT a + 1 AS b FROM live LIMIT 0",
+	}
+	for _, cfg := range []struct {
+		name string
+		cfg  SessionConfig
+	}{
+		{"fused", SessionConfig{TargetPartitions: 2}},
+		{"fusion-off", SessionConfig{TargetPartitions: 2, DisableFusion: true}},
+	} {
+		for name, q := range queries {
+			t.Run(cfg.name+"/"+name, func(t *testing.T) {
+				s := NewSession(cfg.cfg)
+				defer s.Close()
+				if _, err := s.RegisterStream("live", streamSchema(), "e"); err != nil {
+					t.Fatal(err)
+				}
+				df, err := s.SQL(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+				defer cancel()
+				bs, err := df.CollectContext(ctx)
+				if err != nil {
+					t.Fatalf("LIMIT 0 over a quiet live stream: %v", err)
+				}
+				for _, b := range bs {
+					if b.NumRows() != 0 {
+						t.Fatalf("LIMIT 0 returned %d rows", b.NumRows())
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestWatermarkAggEarlyEmit: the streaming aggregate must emit a bucket as
 // soon as the watermark passes it — before the source seals — and flush
 // the rest at seal, in event-time order.

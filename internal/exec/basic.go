@@ -32,32 +32,7 @@ func (e *FilterExec) WithChildren(ch []physical.ExecutionPlan) (physical.Executi
 }
 
 func (e *FilterExec) Execute(ctx *physical.ExecContext, partition int) (physical.Stream, error) {
-	in, err := e.Input.Execute(ctx, partition)
-	if err != nil {
-		return nil, err
-	}
-	return physical.InstrumentStream(NewFuncStream(e.Schema(), func() (*arrow.RecordBatch, error) {
-		for {
-			if err := checkCancel(ctx); err != nil {
-				return nil, err
-			}
-			b, err := in.Next()
-			if err != nil {
-				return nil, err
-			}
-			mask, err := physical.EvalPredicate(e.Predicate, b)
-			if err != nil {
-				return nil, err
-			}
-			out, err := compute.FilterBatch(b, mask)
-			if err != nil {
-				return nil, err
-			}
-			if out.NumRows() > 0 {
-				return out, nil
-			}
-		}
-	}, in.Close), e.Metrics()), nil
+	return executePushed(ctx, partition, e, e.Metrics())
 }
 
 // CanPush marks the filter as fusable: one batch in, at most one out.
@@ -154,25 +129,7 @@ func (e *ProjectionExec) WithChildren(ch []physical.ExecutionPlan) (physical.Exe
 }
 
 func (e *ProjectionExec) Execute(ctx *physical.ExecContext, partition int) (physical.Stream, error) {
-	in, err := e.Input.Execute(ctx, partition)
-	if err != nil {
-		return nil, err
-	}
-	return physical.InstrumentStream(NewFuncStream(e.schema, func() (*arrow.RecordBatch, error) {
-		b, err := in.Next()
-		if err != nil {
-			return nil, err
-		}
-		cols := make([]arrow.Array, len(e.Exprs))
-		for i, x := range e.Exprs {
-			a, err := physical.EvalToArray(x, b)
-			if err != nil {
-				return nil, err
-			}
-			cols[i] = a
-		}
-		return arrow.NewRecordBatchWithRows(e.schema, cols, b.NumRows()), nil
-	}, in.Close), e.Metrics()), nil
+	return executePushed(ctx, partition, e, e.Metrics())
 }
 
 // CanPush marks the projection as fusable.
@@ -234,40 +191,7 @@ func (e *GlobalLimitExec) Execute(ctx *physical.ExecContext, partition int) (phy
 	if e.Input.Partitions() != 1 {
 		return nil, fmt.Errorf("exec: GlobalLimitExec requires single-partition input (planner bug)")
 	}
-	in, err := e.Input.Execute(ctx, 0)
-	if err != nil {
-		return nil, err
-	}
-	skip := e.Skip
-	remaining := e.Fetch
-	return physical.InstrumentStream(NewFuncStream(e.Schema(), func() (*arrow.RecordBatch, error) {
-		for {
-			if remaining == 0 {
-				return nil, io.EOF
-			}
-			b, err := in.Next()
-			if err != nil {
-				return nil, err
-			}
-			if skip > 0 {
-				if int64(b.NumRows()) <= skip {
-					skip -= int64(b.NumRows())
-					continue
-				}
-				b = b.Slice(int(skip), b.NumRows()-int(skip))
-				skip = 0
-			}
-			if remaining > 0 && int64(b.NumRows()) > remaining {
-				b = b.Slice(0, int(remaining))
-			}
-			if remaining > 0 {
-				remaining -= int64(b.NumRows())
-			}
-			if b.NumRows() > 0 {
-				return b, nil
-			}
-		}
-	}, in.Close), e.Metrics()), nil
+	return executePushed(ctx, 0, e, e.Metrics())
 }
 
 // CanPush allows fusing the global limit only over single-partition
@@ -338,25 +262,7 @@ func (e *LocalLimitExec) WithChildren(ch []physical.ExecutionPlan) (physical.Exe
 }
 
 func (e *LocalLimitExec) Execute(ctx *physical.ExecContext, partition int) (physical.Stream, error) {
-	in, err := e.Input.Execute(ctx, partition)
-	if err != nil {
-		return nil, err
-	}
-	remaining := e.Fetch
-	return physical.InstrumentStream(NewFuncStream(e.Schema(), func() (*arrow.RecordBatch, error) {
-		if remaining <= 0 {
-			return nil, io.EOF
-		}
-		b, err := in.Next()
-		if err != nil {
-			return nil, err
-		}
-		if int64(b.NumRows()) > remaining {
-			b = b.Slice(0, int(remaining))
-		}
-		remaining -= int64(b.NumRows())
-		return b, nil
-	}, in.Close), e.Metrics()), nil
+	return executePushed(ctx, partition, e, e.Metrics())
 }
 
 // CanPush marks the per-partition limit as fusable.
@@ -578,36 +484,7 @@ func (e *CoalesceBatchesExec) WithChildren(ch []physical.ExecutionPlan) (physica
 }
 
 func (e *CoalesceBatchesExec) Execute(ctx *physical.ExecContext, partition int) (physical.Stream, error) {
-	in, err := e.Input.Execute(ctx, partition)
-	if err != nil {
-		return nil, err
-	}
-	var pending []*arrow.RecordBatch
-	pendingRows := 0
-	eof := false
-	return physical.InstrumentStream(NewFuncStream(e.Schema(), func() (*arrow.RecordBatch, error) {
-		for !eof && pendingRows < e.Target {
-			b, err := in.Next()
-			if err == io.EOF {
-				eof = true
-				break
-			}
-			if err != nil {
-				return nil, err
-			}
-			if b.NumRows() == 0 {
-				continue
-			}
-			pending = append(pending, b)
-			pendingRows += b.NumRows()
-		}
-		if pendingRows == 0 {
-			return nil, io.EOF
-		}
-		out, err := compute.ConcatBatches(e.Schema(), pending)
-		pending, pendingRows = nil, 0
-		return out, err
-	}, in.Close), e.Metrics()), nil
+	return executePushed(ctx, partition, e, e.Metrics())
 }
 
 // CanPush marks batch coalescing as fusable.

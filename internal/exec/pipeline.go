@@ -137,16 +137,37 @@ func (e *PipelineExec) Execute(ctx *physical.ExecContext, partition int) (physic
 			closeStages(stages[:i])
 			return nil, err
 		}
-		fs := &fusedStage{pusher: pusher}
+		var m *physical.MetricsSet
 		if mp, ok := st.(physical.MetricsProvider); ok {
-			fs.m = mp.Metrics()
+			m = mp.Metrics()
 		}
-		fs.emit = fs.collect
-		stages[i] = fs
+		stages[i] = newFusedStage(pusher, m)
 	}
 	return physical.InstrumentStream(&fusedStream{
 		schema: e.Schema(), ctx: ctx, src: src, stages: stages,
 	}, e.Metrics()), nil
+}
+
+// executePushed runs one pushable operator on its own: a one-stage fused
+// loop over its child's partition. This is the operator's only
+// implementation outside a PipelineExec. The stage records no metrics of
+// its own; m instruments the whole stream instead, so the operator's
+// output_rows are counted once and its elapsed_compute includes its
+// input, like every other standalone operator's.
+func executePushed(ctx *physical.ExecContext, partition int, op physical.Pushable, m *physical.MetricsSet) (physical.Stream, error) {
+	src, err := op.Children()[0].Execute(ctx, partition)
+	if err != nil {
+		return nil, err
+	}
+	pusher, err := op.PushInto(ctx, partition)
+	if err != nil {
+		src.Close()
+		return nil, err
+	}
+	return physical.InstrumentStream(&fusedStream{
+		schema: op.Schema(), ctx: ctx, src: src,
+		stages: []*fusedStage{newFusedStage(pusher, nil)},
+	}, m), nil
 }
 
 func closeStages(stages []*fusedStage) {
@@ -158,8 +179,10 @@ func closeStages(stages []*fusedStage) {
 // fusedStage is one operator's per-partition state inside a fused loop.
 type fusedStage struct {
 	pusher physical.Pusher
-	m      *physical.MetricsSet
-	emit   physical.EmitFn
+	// m is the operator's own MetricsSet inside a PipelineExec; nil for a
+	// standalone operator, whose stream is instrumented as a whole.
+	m    *physical.MetricsSet
+	emit physical.EmitFn
 	// buf collects the batches emitted by the current Push/Flush round;
 	// the driver hands it to the next stage after the call returns.
 	buf []*arrow.RecordBatch
@@ -168,9 +191,15 @@ type fusedStage struct {
 	done bool
 }
 
+func newFusedStage(pusher physical.Pusher, m *physical.MetricsSet) *fusedStage {
+	st := &fusedStage{pusher: pusher, m: m}
+	st.emit = st.collect
+	return st
+}
+
 // collect is the stage's EmitFn: it counts output into the operator's
-// own MetricsSet — preserving per-operator pull-mode accounting inside
-// the fused loop — and buffers the batch for the next stage.
+// own MetricsSet — preserving per-operator accounting inside the fused
+// loop — and buffers the batch for the next stage.
 func (st *fusedStage) collect(b *arrow.RecordBatch) error {
 	if b == nil || b.NumRows() == 0 {
 		return nil
@@ -187,11 +216,17 @@ func (st *fusedStage) collect(b *arrow.RecordBatch) error {
 // outputs to the consumer. There are no goroutines or channels between
 // stages; each stage's compute time accrues to its own operator.
 type fusedStream struct {
-	schema  *arrow.Schema
-	ctx     *physical.ExecContext
-	src     physical.Stream
-	stages  []*fusedStage
-	out     []*arrow.RecordBatch
+	schema *arrow.Schema
+	ctx    *physical.ExecContext
+	src    physical.Stream
+	stages []*fusedStage
+	// out queues the chain's outputs; out[next:] are not yet returned.
+	// The queue is reused once drained, so steady state allocates nothing
+	// per batch.
+	out  []*arrow.RecordBatch
+	next int
+	// one feeds a single batch to the first stage it enters.
+	one     [1]*arrow.RecordBatch
 	srcDone bool
 	flushed bool
 	closed  bool
@@ -201,11 +236,13 @@ func (s *fusedStream) Schema() *arrow.Schema { return s.schema }
 
 func (s *fusedStream) Next() (*arrow.RecordBatch, error) {
 	for {
-		if len(s.out) > 0 {
-			b := s.out[0]
-			s.out = s.out[1:]
+		if s.next < len(s.out) {
+			b := s.out[s.next]
+			s.out[s.next] = nil
+			s.next++
 			return b, nil
 		}
+		s.out, s.next = s.out[:0], 0
 		if s.flushed {
 			return nil, io.EOF
 		}
@@ -241,14 +278,15 @@ func (s *fusedStream) Next() (*arrow.RecordBatch, error) {
 // done, the source stops and batches bound for that stage are dropped —
 // batches it already emitted still flow downstream.
 func (s *fusedStream) process(from int, b *arrow.RecordBatch) error {
-	in := []*arrow.RecordBatch{b}
+	s.one[0] = b
+	in := s.one[:]
 	for i := from; i < len(s.stages); i++ {
 		st := s.stages[i]
 		if st.done || len(in) == 0 {
 			return nil
 		}
 		st.buf = st.buf[:0]
-		start := time.Now()
+		start := st.start()
 		for _, ib := range in {
 			done, err := st.pusher.Push(ib, st.emit)
 			if err != nil {
@@ -278,24 +316,33 @@ func (s *fusedStream) flush() error {
 			continue
 		}
 		st.buf = st.buf[:0]
-		start := time.Now()
+		start := st.start()
 		err := st.pusher.Flush(st.emit)
 		st.addElapsed(start)
 		if err != nil {
 			return err
 		}
-		flushed := append([]*arrow.RecordBatch(nil), st.buf...)
 		if i+1 == len(s.stages) {
-			s.out = append(s.out, flushed...)
+			s.out = append(s.out, st.buf...)
 			continue
 		}
-		for _, b := range flushed {
+		// process only touches the stages above i, so st.buf stays put.
+		for _, b := range st.buf {
 			if err := s.process(i+1, b); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// start returns the time a stage call begins, read only when the stage
+// accounts its own elapsed time.
+func (st *fusedStage) start() time.Time {
+	if st.m == nil {
+		return time.Time{}
+	}
+	return time.Now()
 }
 
 func (st *fusedStage) addElapsed(start time.Time) {

@@ -65,8 +65,7 @@ func sumRows(batches []*arrow.RecordBatch) int64 {
 // TestFusePipelinesShape pins the fusion pass output: a filter+coalesce
 // chain over a multi-partition GPQ scan becomes one morsel-driven
 // PipelineExec whose Children still expose the original operator chain,
-// while a lone fusable operator over a morsel-less source unwraps back
-// to plain pull execution.
+// while a lone fusable operator over a morsel-less source stays unfused.
 func TestFusePipelinesShape(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.gpq")
 	writeSeqGPQ(t, path, 800, 100)
@@ -111,7 +110,7 @@ func TestFusePipelinesShape(t *testing.T) {
 	}
 
 	// A single fusable op over a single-partition (morsel-less) scan is
-	// not worth a fused loop and unwraps.
+	// not worth a segment and stays a plain operator.
 	lone := &FilterExec{Input: seqScan(t, path, 1), Predicate: idGreater(99)}
 	unfused, err := fusePipelines(lone)
 	if err != nil {

@@ -25,10 +25,10 @@ type PlannerConfig struct {
 	Reg *functions.Registry
 	// PreferHashJoin disables sort-merge join selection when true.
 	PreferHashJoin bool
-	// DisableFusion keeps every operator on its own pull stream instead
-	// of compiling pipeline segments into fused PipelineExec loops
-	// (fusion is on by default; this knob exists for ablations and
-	// differential testing).
+	// DisableFusion keeps chains of pushable operators from merging into
+	// PipelineExec segments and keeps scans off the morsel queue; each
+	// operator then runs as its own one-stage loop (fusion is on by
+	// default; this knob exists for ablations and differential testing).
 	DisableFusion bool
 	// ExtensionPlanners lower user-defined logical nodes (paper Section
 	// 7.7); each is tried in order.

@@ -51,8 +51,9 @@ func DefaultConfigs() []EngineConfig {
 		{"p4-smallbuf", core.SessionConfig{TargetPartitions: 4, ExchangeBufferDepth: 1}},
 		{"p1-smallbatch", core.SessionConfig{TargetPartitions: 1, BatchRows: 64}},
 		// Every config above runs with pipeline fusion on (the default);
-		// fused-off pins the pull-per-operator path so fused and unfused
-		// execution cross-check each other and the baseline.
+		// fused-off runs every operator as its own stream, with static
+		// scan partitions instead of the morsel queue, so fused and
+		// unfused plans cross-check each other and the baseline.
 		{"fused-off", core.SessionConfig{TargetPartitions: 4, DisableFusion: true}},
 		// Shared-cache matrix: every config above runs with the shared
 		// decoded-page cache on (the default) against a tight budget is

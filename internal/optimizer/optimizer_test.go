@@ -75,6 +75,11 @@ func TestConstantFoldingAndBooleanSimplify(t *testing.T) {
 	if _, ok := plan2.(*logical.EmptyRelation); !ok {
 		t.Fatalf("false filter should empty the plan:\n%s", explain(plan2))
 	}
+	// So does LIMIT 0, whatever it skips.
+	plan3 := optimize(t, &logical.Limit{Input: scan, Skip: 5, Fetch: 0})
+	if _, ok := plan3.(*logical.EmptyRelation); !ok {
+		t.Fatalf("LIMIT 0 should empty the plan:\n%s", explain(plan3))
+	}
 }
 
 func TestFilterPushdownIntoScan(t *testing.T) {

@@ -31,6 +31,13 @@ func (r *SimplifyExpressions) Apply(plan logical.Plan, ctx *Context) (logical.Pl
 				return &logical.EmptyRelation{SchemaVal: n.Input.Schema()}, nil
 			}
 			return &logical.Filter{Input: n.Input, Predicate: pred}, nil
+		case *logical.Limit:
+			// LIMIT 0 needs no input: without this, an operator has to see
+			// a first batch before it can stop, which over a quiet live
+			// stream never comes.
+			if n.Fetch == 0 {
+				return &logical.EmptyRelation{SchemaVal: n.Input.Schema()}, nil
+			}
 		case *logical.Projection:
 			exprs := make([]logical.Expr, len(n.Exprs))
 			changed := false

@@ -10,11 +10,12 @@ import (
 // implementations never re-enter downstream operators.
 type EmitFn func(*arrow.RecordBatch) error
 
-// Pusher is the push-mode compilation of one operator for fused pipeline
-// execution: instead of pulling from a child stream, the pipeline driver
-// pushes each input batch through the whole operator chain in a single
-// loop (PAPERS.md: "Push vs. Pull-Based Loop Fusion in Query Engines").
-// A Pusher serves one partition and is not safe for concurrent use.
+// Pusher is the push-mode compilation of one operator: instead of
+// pulling from a child stream, the pipeline driver pushes each input
+// batch through the whole operator chain in a single loop (PAPERS.md:
+// "Push vs. Pull-Based Loop Fusion in Query Engines"). It is the
+// operator's only implementation: run alone, the operator is a one-stage
+// loop. A Pusher serves one partition and is not safe for concurrent use.
 type Pusher interface {
 	// Push consumes one input batch, emitting any output via emit. A true
 	// done return means the operator will never emit again (e.g. a limit
